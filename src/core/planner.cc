@@ -7,6 +7,7 @@
 #include "model/metrics.h"
 #include "opt/problem.h"
 #include "partition/transformed.h"
+#include "stats/descriptive.h"
 
 namespace freshen {
 
@@ -30,9 +31,12 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
         StrFormat("bandwidth must be positive and finite, got %g", bandwidth));
   }
   for (size_t i = 0; i < elements.size(); ++i) {
-    if (!(elements[i].size > 0.0)) {
-      return Status::InvalidArgument(
-          StrFormat("element %zu has non-positive size", i));
+    // An infinite size would turn the feasibility spend into inf * 0 = NaN
+    // and silently skip the rescale, breaking the always-feasible promise.
+    if (!(elements[i].size > 0.0) || !std::isfinite(elements[i].size)) {
+      return Status::InvalidArgument(StrFormat(
+          "element %zu has non-positive or non-finite size %g", i,
+          elements[i].size));
     }
   }
 
@@ -103,9 +107,26 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
     for (double& f : plan.frequencies) f *= scale;
   }
 
-  plan.perceived_freshness = PerceivedFreshness(elements, plan.frequencies);
-  plan.general_freshness = GeneralFreshness(elements, plan.frequencies);
-  plan.bandwidth_used = BandwidthUsed(elements, plan.frequencies);
+  // PerceivedFreshness, GeneralFreshness and BandwidthUsed fused into one
+  // pass: each keeps its own Kahan sum fed in index order with the same
+  // terms (model/metrics.cc), so every value is bit-identical to the three
+  // separate calls, at one freshness evaluation per element instead of two.
+  KahanSum perceived;
+  KahanSum general;
+  KahanSum used;
+  for (size_t i = 0; i < elements.size(); ++i) {
+    const Element& e = elements[i];
+    const double freshness = PolicyFreshness(SyncPolicy::kFixedOrder,
+                                             plan.frequencies[i],
+                                             e.change_rate);
+    perceived.Add(e.access_prob * freshness);
+    general.Add(freshness);
+    used.Add(e.size * plan.frequencies[i]);
+  }
+  plan.perceived_freshness = perceived.Total();
+  plan.general_freshness =
+      general.Total() / static_cast<double>(elements.size());
+  plan.bandwidth_used = used.Total();
   plan.timings.total_seconds = total_timer.ElapsedSeconds();
   return plan;
 }

@@ -96,7 +96,9 @@ class FreshenPlanner {
  public:
   explicit FreshenPlanner(PlannerOptions options) : options_(options) {}
 
-  /// Plans for the given catalog and per-period bandwidth budget (> 0).
+  /// Plans for the given catalog and per-period bandwidth budget (> 0 and
+  /// finite). InvalidArgument for an empty catalog or any element whose
+  /// size is not positive and finite.
   Result<FreshenPlan> Plan(const ElementSet& elements,
                            double bandwidth) const;
 

@@ -18,6 +18,8 @@ Result<Allocation> AgeWaterFillingSolver::Solve(
     const CoreProblem& problem) const {
   FRESHEN_RETURN_IF_ERROR(problem.Validate());
   static const SolverMetrics metrics = MakeSolverMetrics("age_water_filling");
+  static const SearchProbeCounters search_probes = MakeSearchProbeCounters(
+      obs::MetricsRegistry::Global(), "age_water_filling");
   obs::ScopedSpan span("solve");
   WallTimer timer;
 
@@ -67,16 +69,21 @@ Result<Allocation> AgeWaterFillingSolver::Solve(
   // (see the matching comment in water_filling.cc).
   BreakpointSpendEvaluator eval(BreakpointSpendEvaluator::Kernel::kAgeH,
                                 target_scale, lambda, spend_scale, &exec);
-  auto spend_at = [&](double mu) { return eval.SpendAt(mu); };
 
   // spend(mu) decreases from +inf (mu -> 0) to 0 (mu -> inf): unlike the
   // freshness problem there is no finite mu_max (mu_hi_hint = 0 brackets
   // upward) and no activation thresholds (h is unbounded: no element is
   // ever priced out, so there are no breakpoints to scan).
-  const GridSearchResult search = SolveMultiplierOnGrid(
-      spend_at, problem.bandwidth, /*mu_hi_hint=*/0.0, options_.search,
-      /*gather_thresholds=*/nullptr, options_.max_iterations);
+  GridSearchResult search;
+  {
+    obs::ScopedSpan search_span("search");
+    search = SolveMultiplierCold(&eval, problem.bandwidth,
+                                 /*mu_hi_hint=*/0.0, options_.search,
+                                 /*gather_thresholds=*/nullptr,
+                                 options_.max_iterations);
+  }
   const double mu = search.mu;
+  obs::ScopedSpan fill_span("fill");
   std::vector<double> frequencies(active);
   eval.FillFrequenciesAt(mu, &frequencies);
   exec.ForEach(active, [&](size_t k) {
@@ -99,6 +106,7 @@ Result<Allocation> AgeWaterFillingSolver::Solve(
   metrics.solve_seconds->Record(out.solve_seconds);
   metrics.residual->Set(std::fabs(out.bandwidth_used - problem.bandwidth) /
                         problem.bandwidth);
+  search_probes.Record(search);
   return out;
 }
 

@@ -74,6 +74,7 @@ DeltaReplanner::DeltaReplanner(CoreProblem problem, Options options)
       registry.GetHistogram("freshen_replan_probes", CountBuckets());
   seconds_hist_ = registry.GetHistogram("freshen_replan_seconds",
                                         obs::LatencySecondsBuckets());
+  search_probes_ = MakeSearchProbeCounters(registry, "delta_replan");
 }
 
 Result<std::unique_ptr<DeltaReplanner>> DeltaReplanner::Create(
@@ -138,7 +139,6 @@ void DeltaReplanner::FullSolve() {
     last_probes_ = 0;
     return;
   }
-  auto spend_at = [this](double mu) { return eval_->SpendAt(mu); };
   std::function<void(double, double, std::vector<double>*)> gather =
       [this, active](double lo, double hi, std::vector<double>* band) {
         for (size_t k = 0; k < active; ++k) {
@@ -146,9 +146,10 @@ void DeltaReplanner::FullSolve() {
           if (threshold > lo && threshold < hi) band->push_back(threshold);
         }
       };
-  const GridSearchResult search = SolveMultiplierOnGrid(
-      spend_at, problem_.bandwidth, mu_max_, MultiplierSearch::kScanBreakpoint,
-      &gather, options_.max_probes);
+  const GridSearchResult search = SolveMultiplierCold(
+      eval_.get(), problem_.bandwidth, mu_max_,
+      MultiplierSearch::kScanBreakpoint, &gather, options_.max_probes);
+  search_probes_.Record(search);
   mu_ = search.mu;
   last_probes_ = search.probes;
   RefreshAtMu();
@@ -419,6 +420,7 @@ Result<DeltaReplanner::ReplanResult> DeltaReplanner::Replan(
           };
       const GridSearchResult search = SolveMultiplierFromPrevious(
           spend_at, budget, mu_, &gather, options_.max_probes);
+      search_probes_.Record(search);
       mu_ = search.mu;
       last_probes_ = search.probes;
       RefreshAtMu();

@@ -1,7 +1,7 @@
 // Incremental delta replanning for the freshness water-filling solver.
 //
-// A cold KktWaterFillingSolver solve is O(N): ~15 sharded SIMD spend probes
-// plus a full cold fill (2.28 s at N=1M single-threaded). A live catalog
+// A cold KktWaterFillingSolver solve is O(N): a binned-surrogate pass, ~7-8
+// sharded SIMD spend probes and a full cold fill. A live catalog
 // whose lambda/p/s churn continuously cannot afford that every period.
 // DeltaReplanner caches the previous solve's state and re-solves an updated
 // problem at a cost that scales with how much the answer can actually move:
@@ -15,7 +15,7 @@
 //     maintenance — sub-millisecond at N=1M for small batches.
 //   * kWarm — the flip moved. The multiplier search restarts from the
 //     cached flip point (SolveMultiplierFromPrevious: ~2-4 probes instead
-//     of ~15 cold) and the allocation is re-derived. O(active) — the
+//     of ~7-8 cold) and the allocation is re-derived. O(active) — the
 //     honest floor once mu moves, since every funded frequency changes.
 //   * kFull — churn exceeded Options::full_churn_threshold, or the update
 //     stream changed the problem's structure (append, or an element
@@ -63,6 +63,7 @@
 #include "opt/problem.h"
 #include "opt/scan_breakpoint.h"
 #include "opt/solution.h"
+#include "opt/solver_metrics.h"
 
 namespace freshen {
 
@@ -215,6 +216,7 @@ class DeltaReplanner {
   obs::Histogram* dirty_hist_;
   obs::Histogram* probes_hist_;
   obs::Histogram* seconds_hist_;
+  SearchProbeCounters search_probes_;
 };
 
 }  // namespace freshen

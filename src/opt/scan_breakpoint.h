@@ -25,16 +25,25 @@
 // smallest lattice multiplier whose spend is within budget.
 //
 // That uniqueness is what the two search modes exploit:
-//   * kScanBreakpoint (default): geometric descent to bracket, secant
-//     (Illinois) in log-log space to collapse the bracket to a few lattice
-//     steps, then a scan of the activation-threshold breakpoints inside the
-//     band — elements sorted by the mu at which they leave the schedule,
-//     binary-searched with full sharded spend evaluations — and a final
-//     lattice bisection. ~15 spend evaluations total, independent of N.
-//   * kBisectionOracle: plain lattice bisection from the same initial
-//     bracket. ~50 evaluations; structurally different probe path kept as
-//     the verification oracle: byte-equal results at every thread count
-//     AND between the two modes (tests/scan_breakpoint_test.cc).
+//   * kScanBreakpoint (default): start at a surrogate estimate of mu*
+//     (the root of a log-binned spend histogram, see
+//     BreakpointSpendEvaluator::EstimateMultiplier), gallop to a bracket
+//     with the spend elasticity bound, secant (Illinois) in log-log space to
+//     collapse the bracket to a few lattice steps, then a scan of the
+//     activation-threshold breakpoints inside the band — elements sorted by
+//     the mu at which they leave the schedule, binary-searched with full
+//     sharded spend evaluations — and a final lattice bisection. ~8 exact
+//     spend evaluations on the Table 3 Big Case, independent of N.
+//   * kBisectionOracle: halving descent from mu_max to a one-binade
+//     bracket, then plain lattice bisection. ~50 evaluations; structurally
+//     different probe path kept as the verification oracle: byte-equal
+//     results at every thread count AND between the two modes
+//     (tests/scan_breakpoint_test.cc).
+//
+// The surrogate only chooses where the exact search STARTS. mu* is still
+// decided by exact SpendAt at two adjacent lattice points, and the flip is
+// unique, so no surrogate error — however large — can change a byte of the
+// result; a poor estimate costs gallop probes, nothing else.
 //
 // Honest deviation from the classic prefix-sum breakpoint scan: for these
 // kernels the per-element spend at the breakpoint depends on mu itself
@@ -127,11 +136,23 @@ enum class MultiplierSearch {
 struct GridSearchResult {
   /// The smallest lattice multiplier with spend(mu) <= budget.
   double mu = 0.0;
-  /// Total spend evaluations.
+  /// Total exact spend evaluations: the sum of the four exact stages below.
   int probes = 0;
   /// Activation-threshold breakpoints scanned in the final band (scan mode
   /// with a gatherer only).
   int breakpoints = 0;
+
+  /// Evaluations of the binned surrogate (O(bins) each, not O(N); not
+  /// counted in `probes`). Cold scan solves through SolveMultiplierCold
+  /// only.
+  int surrogate_probes = 0;
+  /// Exact probes per stage: bracketing (the oracle's doubling/halving or
+  /// the elasticity gallop), Illinois secant, breakpoint scan, and final
+  /// lattice bisection.
+  int bracket_probes = 0;
+  int secant_probes = 0;
+  int breakpoint_probes = 0;
+  int bisection_probes = 0;
 };
 
 /// Finds mu* on the lattice. `spend_at` is evaluated only at lattice points
@@ -141,9 +162,13 @@ struct GridSearchResult {
 ///
 /// Bracketing: with mu_hi_hint > 0 the search starts at
 /// MuLatticeCeil(mu_hi_hint), expected to satisfy spend <= budget (the
-/// freshness solver's mu_max; escalated by doubling if not). With
-/// mu_hi_hint == 0 it brackets upward from 1.0 (the age solver's unbounded
-/// multiplier).
+/// freshness solver's mu_max); with mu_hi_hint == 0 it starts at 1.0 (the
+/// age solver's unbounded multiplier). Scan mode gallops from that start
+/// exactly as SolveMultiplierFromPrevious does; the oracle escalates by
+/// doubling (x4 from 1.0) until spend <= budget, then halves down to a
+/// one-binade bracket. Solvers that own a BreakpointSpendEvaluator call
+/// SolveMultiplierCold instead, which starts scan mode at the surrogate
+/// estimate.
 ///
 /// `gather_thresholds`, if non-null, appends to its output every activation
 /// threshold (the exact mu at which some element's frequency reaches zero)
@@ -162,22 +187,40 @@ GridSearchResult SolveMultiplierOnGrid(
         gather_thresholds,
     int max_probes);
 
-/// Warm multiplier search for incremental replanning: instead of the cold
-/// geometric bracket, starts at `prev_mu` — the flip point of the previous
-/// solve, a lattice point — and gallops to a fresh bracket using the spend
-/// elasticity bound (|d ln spend / d ln mu| >= ~1/3 everywhere, so the new
-/// flip lies within prev_mu * (spend/budget)^3; used purely as a step-size
-/// heuristic, with a defensive re-probe loop that never relies on it).
-/// Then runs the same Illinois + breakpoint-scan + lattice-bisection
-/// narrowing as SolveMultiplierOnGrid's scan mode.
+/// Warm multiplier search for incremental replanning: starts at `prev_mu`
+/// — the flip point of the previous solve, a lattice point — and gallops to
+/// a fresh bracket using the spend elasticity bound (|d ln spend / d ln mu|
+/// >= ~1/3 everywhere, so the new flip lies within
+/// prev_mu * (spend/budget)^3; used purely as a step-size heuristic, with a
+/// defensive re-probe loop that never relies on it).
+/// Then runs the Illinois + breakpoint-scan + lattice-bisection narrowing.
+/// This is the one scan-mode bracketing routine: cold scan searches run it
+/// too, from the surrogate estimate or the SolveMultiplierOnGrid start.
 ///
 /// Returns the SAME lattice edge as a cold solve of the same spend curve —
 /// the flip is unique (file comment), so where the search starts cannot
 /// change where it ends — in ~2-4 probes when the flip moved a few thousand
-/// lattice steps (small churn), vs ~15 cold.
+/// lattice steps (small churn), vs ~7-8 for a surrogate-started cold
+/// search.
 GridSearchResult SolveMultiplierFromPrevious(
     const std::function<double(double)>& spend_at, double budget,
     double prev_mu,
+    const std::function<void(double lo, double hi, std::vector<double>*)>*
+        gather_thresholds,
+    int max_probes);
+
+class BreakpointSpendEvaluator;
+
+/// Cold multiplier search over `eval`'s spend curve — the entry point of
+/// the water-filling solvers and the delta replanner's full solve. Scan
+/// mode runs the SolveMultiplierFromPrevious search from MuLatticeRound of
+/// eval->EstimateMultiplier (from the SolveMultiplierOnGrid start when
+/// there is nothing to bin) and reports the surrogate's evaluations in
+/// surrogate_probes; the oracle runs SolveMultiplierOnGrid unchanged. Both
+/// return the same lattice edge.
+GridSearchResult SolveMultiplierCold(
+    BreakpointSpendEvaluator* eval, double budget, double mu_hi_hint,
+    MultiplierSearch mode,
     const std::function<void(double lo, double hi, std::vector<double>*)>*
         gather_thresholds,
     int max_probes);
@@ -251,6 +294,24 @@ class BreakpointSpendEvaluator {
   /// Total spend at mu, warm-started from the previous call.
   double SpendAt(double mu);
 
+  /// Surrogate estimate of the multiplier where spend crosses `budget`
+  /// (the start point of a cold scan search). One pass over the active set
+  /// sums each lane's spend_scale into a histogram keyed by the top bits of
+  /// target_scale's IEEE-754 pattern — a piecewise-linear log2 with 64 bins
+  /// per octave (coarsened only past 256 octaves of spread) — over a fixed
+  /// shard plan merged in shard order, so the histogram, and with it the
+  /// estimate, is bit-identical at every thread count. The surrogate
+  ///   spend~(mu) = sum_b S_b / K^{-1}(mu * t_b)
+  /// (S_b the bin's spend_scale total, t_b its midpoint) is then solved on
+  /// the non-empty bins (~1,300 on the Table 3 Big Case) with this same
+  /// kernel and the same gallop and secant, from the SolveMultiplierOnGrid
+  /// start point, to ~1.5e-5 relative.
+  /// O(N) memory-bound work plus O(bins) kernel inversions per surrogate
+  /// probe; allocates O(shards * bins), nothing N-sized. Returns 0 when
+  /// there is nothing to bin; `probes` receives the surrogate evaluations.
+  double EstimateMultiplier(double budget, double mu_hi_hint,
+                            int* probes) const;
+
   /// frequencies[k] = lambda[k] / K^{-1}(mu * target_scale[k]) (0 when
   /// priced out), cold-started: a pure function of mu alone, so the final
   /// allocation is byte-identical no matter which search path found mu*.
@@ -278,6 +339,7 @@ class BreakpointSpendEvaluator {
   const par::Executor* exec_;
   std::vector<par::Shard> plan_;
   std::vector<double> warm_;
+  std::vector<double> partial_;  // Per-shard SpendAt totals.
 };
 
 }  // namespace freshen

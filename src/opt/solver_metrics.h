@@ -5,6 +5,7 @@
 #define FRESHEN_OPT_SOLVER_METRICS_H_
 
 #include "obs/metrics.h"
+#include "opt/scan_breakpoint.h"
 
 namespace freshen {
 
@@ -29,6 +30,38 @@ inline SolverMetrics MakeSolverMetrics(const char* solver) {
       registry.GetHistogram("freshen_solver_solve_seconds",
                             obs::LatencySecondsBuckets(), labels),
       registry.GetGauge("freshen_solver_residual", labels)};
+}
+
+/// freshen_solver_probes_total{solver,stage}: spend evaluations per stage
+/// of the lattice multiplier search (opt/scan_breakpoint.h). `surrogate`
+/// counts O(bins) evaluations of the binned surrogate; the other four are
+/// the exact O(active) probes. Per-solve costs only.
+struct SearchProbeCounters {
+  obs::Counter* surrogate;
+  obs::Counter* bracket;
+  obs::Counter* secant;
+  obs::Counter* breakpoint;
+  obs::Counter* bisection;
+
+  void Record(const GridSearchResult& search) const {
+    surrogate->Add(search.surrogate_probes);
+    bracket->Add(search.bracket_probes);
+    secant->Add(search.secant_probes);
+    breakpoint->Add(search.breakpoint_probes);
+    bisection->Add(search.bisection_probes);
+  }
+};
+
+/// Registers (or looks up) the stage counters for `solver` in `registry`.
+inline SearchProbeCounters MakeSearchProbeCounters(
+    obs::MetricsRegistry& registry, const char* solver) {
+  auto counter = [&](const char* stage) {
+    return registry.GetCounter("freshen_solver_probes_total",
+                               {{"solver", solver}, {"stage", stage}});
+  };
+  return SearchProbeCounters{counter("surrogate"), counter("bracket"),
+                             counter("secant"), counter("breakpoint"),
+                             counter("bisection")};
 }
 
 }  // namespace freshen

@@ -18,6 +18,8 @@ Result<Allocation> KktWaterFillingSolver::Solve(
     const CoreProblem& problem) const {
   FRESHEN_RETURN_IF_ERROR(problem.Validate());
   static const SolverMetrics metrics = MakeSolverMetrics("water_filling");
+  static const SearchProbeCounters search_probes = MakeSearchProbeCounters(
+      obs::MetricsRegistry::Global(), "water_filling");
   obs::ScopedSpan span("solve");
   WallTimer timer;
 
@@ -62,11 +64,10 @@ Result<Allocation> KktWaterFillingSolver::Solve(
 
   // Sharded, SIMD-batched spend evaluation over the compacted set, with
   // per-element warm-started kernel roots. Bit-identical at every thread
-  // count, so the search takes the same probe sequence whether this solver
-  // runs on 1 thread or 8.
+  // count (its binned surrogate included), so the search takes the same
+  // probe sequence whether this solver runs on 1 thread or 8.
   BreakpointSpendEvaluator eval(BreakpointSpendEvaluator::Kernel::kFreshnessG,
                                 ratio, lambda, spend_scale, &exec);
-  auto spend_at = [&](double mu) { return eval.SpendAt(mu); };
 
   // Activation thresholds inside a band: element k leaves the schedule at
   // mu = 1/ratio[k] (its marginal value at f -> 0+).
@@ -83,11 +84,16 @@ Result<Allocation> KktWaterFillingSolver::Solve(
   // (near-cutoff elements make f(mu) arbitrarily sensitive, so a
   // loosely-resolved mu reproduces the spend while distorting the
   // allocation mix); the lattice edge is exact and search-path-free.
-  const GridSearchResult search = SolveMultiplierOnGrid(
-      spend_at, problem.bandwidth, mu_max, options_.search, &gather,
-      options_.max_iterations);
+  GridSearchResult search;
+  {
+    obs::ScopedSpan search_span("search");
+    search = SolveMultiplierCold(&eval, problem.bandwidth, mu_max,
+                                 options_.search, &gather,
+                                 options_.max_iterations);
+  }
   // mu is the under-spending lattice edge, so the residual is non-negative.
   const double mu = search.mu;
+  obs::ScopedSpan fill_span("fill");
   // Cold-started fill: a pure function of mu, byte-identical regardless of
   // which probe path (or search mode) found it.
   std::vector<double> frequencies(active);
@@ -153,6 +159,7 @@ Result<Allocation> KktWaterFillingSolver::Solve(
   metrics.solve_seconds->Record(out.solve_seconds);
   metrics.residual->Set(std::fabs(out.bandwidth_used - problem.bandwidth) /
                         problem.bandwidth);
+  search_probes.Record(search);
   return out;
 }
 

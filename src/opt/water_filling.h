@@ -11,8 +11,9 @@
 // f_i(mu) = l_i / g^{-1}(mu c_i l_i / w_i) — strictly decreasing in mu.
 // Total spend(mu) is therefore strictly decreasing, and the budget-matching
 // mu is found on a fixed multiplier lattice by the scan-breakpoint search
-// (opt/scan_breakpoint.h): secant narrowing plus an activation-threshold
-// scan, ~15 sharded SIMD spend evaluations regardless of N, with a plain
+// (opt/scan_breakpoint.h): a start at the root of a binned spend surrogate,
+// then gallop, secant narrowing and an activation-threshold scan, ~7-8
+// sharded SIMD spend evaluations regardless of N, with a plain
 // lattice-bisection oracle retained for verification. This is the "solution
 // for small cases" of the paper made exact at any scale, standing in for
 // the IMSL nonlinear-programming package (see DESIGN.md substitutions).

@@ -385,6 +385,24 @@ TEST(ObsIntegrationTest, OnlineLoopRunExportsOperationalMetrics) {
       obs::kSpanHistogramName, {{"span", "period/replan/solve"}});
   ASSERT_NE(period_solve, nullptr);
   EXPECT_GE(period_solve->count, 3u);
+  // The water-filling solve splits into its multiplier search and its fill.
+  for (const char* child : {"period/replan/solve/search",
+                            "period/replan/solve/fill"}) {
+    const obs::MetricSample* phase =
+        snapshot.Find(obs::kSpanHistogramName, {{"span", child}});
+    ASSERT_NE(phase, nullptr) << child;
+    EXPECT_EQ(phase->count, period_solve->count) << child;
+  }
+
+  // Search cost by stage: the cold scan search always runs the surrogate
+  // and probes at least its start point exactly.
+  for (const char* stage : {"surrogate", "bracket"}) {
+    const obs::MetricSample* probes =
+        snapshot.Find("freshen_solver_probes_total",
+                      {{"solver", "water_filling"}, {"stage", stage}});
+    ASSERT_NE(probes, nullptr) << stage;
+    EXPECT_GT(probes->value, 0.0) << stage;
+  }
 
   // And all of it serializes in every wire format without dying.
   EXPECT_FALSE(obs::FormatJson(snapshot).empty());

@@ -1,6 +1,8 @@
 // Tests for the FreshenPlanner: the end-to-end planning API in all its
 // configurations, including the paper's key qualitative claims.
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -172,6 +174,44 @@ TEST(PlannerTest, RejectsInvalidInput) {
   ElementSet bad = elements;
   bad[0].size = 0.0;
   EXPECT_FALSE(FreshenPlanner({}).Plan(bad, 10.0).ok());
+}
+
+TEST(PlannerTest, RejectsNonFiniteSizes) {
+  // With size_aware = false the solver never sees sizes, so an infinite
+  // size used to reach the feasibility rescale as inf * 0 = NaN spend: the
+  // rescale was skipped and the plan came back ok with NaN bandwidth.
+  const ElementSet elements = IdealCatalog(1.0, Alignment::kShuffled);
+  for (double size : {std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    for (bool size_aware : {false, true}) {
+      ElementSet bad = elements;
+      bad[3].size = size;
+      PlannerOptions options;
+      options.size_aware = size_aware;
+      const Result<FreshenPlan> plan = FreshenPlanner(options).Plan(bad, 10.0);
+      ASSERT_FALSE(plan.ok()) << "size=" << size << " aware=" << size_aware;
+      EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(PlannerTest, FusedTailMatchesSeparateMetricsBitForBit) {
+  // Plan's closing metrics come from one fused pass; they must equal the
+  // standalone metric functions on the returned frequencies exactly.
+  const ElementSet elements = IdealCatalog(1.6, Alignment::kShuffled);
+  for (auto mode : {PlanMode::kExact, PlanMode::kPartitioned}) {
+    PlannerOptions options;
+    options.mode = mode;
+    options.num_partitions = 30;
+    const FreshenPlan plan =
+        FreshenPlanner(options).Plan(elements, 250.0).value();
+    const double pf = PerceivedFreshness(elements, plan.frequencies);
+    const double gf = GeneralFreshness(elements, plan.frequencies);
+    const double bw = BandwidthUsed(elements, plan.frequencies);
+    EXPECT_EQ(std::memcmp(&plan.perceived_freshness, &pf, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&plan.general_freshness, &gf, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&plan.bandwidth_used, &bw, sizeof(double)), 0);
+  }
 }
 
 TEST(PlannerTest, FrequenciesAreNonNegativeAndFinite) {

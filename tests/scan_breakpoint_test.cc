@@ -12,6 +12,7 @@
 //      FRESHEN_SANITIZE=thread build.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -23,6 +24,8 @@
 #include "opt/problem.h"
 #include "opt/scan_breakpoint.h"
 #include "opt/water_filling.h"
+#include "workload/generator.h"
+#include "workload/spec.h"
 
 namespace freshen {
 namespace {
@@ -300,8 +303,9 @@ TEST(ScanBreakpointTest, DegenerateProblemsAgreeAcrossModes) {
 }
 
 TEST(ScanBreakpointTest, ScanUsesFewerProbesThanOracle) {
-  // The point of the scan: ~15 spend evaluations instead of the oracle's
-  // full lattice bisection (~50). `iterations` reports probe counts.
+  // The point of the scan: a surrogate-started gallop plus secant (~6-10
+  // exact spend evaluations) instead of the oracle's halving descent and
+  // full lattice bisection (~50). `iterations` reports exact probe counts.
   const CoreProblem problem = RandomProblem(5000, 99, 0.2);
   const Allocation scan =
       SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
@@ -333,6 +337,219 @@ TEST(ScanBreakpointTest, AllocationIsByteIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(SameBytes(age_got.frequencies, age_base.frequencies))
           << "threads=" << threads;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Surrogate-started cold search: fewer exact probes, same bytes.
+// ---------------------------------------------------------------------------
+
+/// A scaled-down Table 3 Big Case: the generator's Big Case catalog at n
+/// elements with the paper's B/N = 1/2, as a perceived-freshness problem.
+CoreProblem BigCaseShaped(size_t n, uint64_t seed) {
+  ExperimentSpec spec = ExperimentSpec::BigCase();
+  spec.num_objects = n;
+  spec.syncs_per_period = 0.5 * static_cast<double>(n);
+  spec.seed = seed;
+  return MakePerceivedProblem(GenerateCatalog(spec).value(),
+                              spec.syncs_per_period);
+}
+
+/// Scan mode at 1 and 4 threads, byte-equal to the 1-thread oracle, for
+/// the freshness (G) kernel and, when `age`, the age (H) kernel. Returns
+/// the largest exact probe count scan mode used.
+int ExpectScanMatchesOracle(const CoreProblem& problem, bool age,
+                            const char* what) {
+  int worst = 0;
+  for (bool age_kernel : {false, true}) {
+    if (age_kernel && !age) continue;
+    auto solve = [&](MultiplierSearch mode, size_t threads) {
+      return age_kernel ? SolveAge(problem, mode, threads)
+                        : SolveFreshness(problem, mode, threads);
+    };
+    const Allocation oracle = solve(MultiplierSearch::kBisectionOracle, 1);
+    for (size_t threads : {1u, 4u}) {
+      const Allocation scan = solve(MultiplierSearch::kScanBreakpoint, threads);
+      EXPECT_TRUE(SameBits(scan.multiplier, oracle.multiplier))
+          << what << " age=" << age_kernel << " threads=" << threads
+          << " scan=" << scan.multiplier << " oracle=" << oracle.multiplier;
+      EXPECT_TRUE(SameBytes(scan.frequencies, oracle.frequencies))
+          << what << " age=" << age_kernel << " threads=" << threads;
+      worst = std::max(worst, scan.iterations);
+    }
+  }
+  return worst;
+}
+
+TEST(SurrogateSearchTest, BigCaseColdSolveNeedsFewExactProbes) {
+  // The halving descent this replaces spent ~22 of its ~31 exact probes on
+  // Big Case just bracketing; starting at the surrogate root leaves a short
+  // gallop and the secant.
+  const CoreProblem problem = BigCaseShaped(50000, 7);
+  const int probes = ExpectScanMatchesOracle(problem, /*age=*/true, "big");
+  EXPECT_LE(probes, 10);
+}
+
+TEST(SurrogateSearchTest, StageCountsAddUpToProbes) {
+  const CoreProblem problem = BigCaseShaped(20000, 3);
+  std::vector<double> ratio, lambda, spend_scale;
+  double mu_max = 0.0;
+  for (size_t i = 0; i < problem.size(); ++i) {
+    if (problem.weights[i] > 0.0 && problem.change_rates[i] > 0.0) {
+      ratio.push_back(problem.costs[i] * problem.change_rates[i] /
+                      problem.weights[i]);
+      lambda.push_back(problem.change_rates[i]);
+      spend_scale.push_back(problem.costs[i] * problem.change_rates[i]);
+      mu_max = std::max(mu_max, 1.0 / ratio.back());
+    }
+  }
+  const par::Executor exec(1);
+  for (MultiplierSearch mode : {MultiplierSearch::kScanBreakpoint,
+                                MultiplierSearch::kBisectionOracle}) {
+    BreakpointSpendEvaluator eval(
+        BreakpointSpendEvaluator::Kernel::kFreshnessG, ratio, lambda,
+        spend_scale, &exec);
+    const GridSearchResult search = SolveMultiplierCold(
+        &eval, problem.bandwidth, mu_max, mode, nullptr, 400);
+    EXPECT_EQ(search.probes, search.bracket_probes + search.secant_probes +
+                                 search.breakpoint_probes +
+                                 search.bisection_probes);
+    if (mode == MultiplierSearch::kScanBreakpoint) {
+      EXPECT_GT(search.surrogate_probes, 0);
+      EXPECT_GT(search.bracket_probes, 0);
+    } else {
+      // The oracle runs no surrogate, no secant and no breakpoint scan.
+      EXPECT_EQ(search.surrogate_probes, 0);
+      EXPECT_EQ(search.secant_probes, 0);
+      EXPECT_EQ(search.breakpoint_probes, 0);
+      EXPECT_GE(search.bracket_probes, 2);
+    }
+  }
+}
+
+TEST(SurrogateSearchTest, EstimateIsBitIdenticalAcrossThreadCounts) {
+  // ~100k lanes span several histogram shards; the estimate (and the
+  // surrogate probe count) must not depend on how many threads bin them.
+  const CoreProblem problem = BigCaseShaped(100000, 11);
+  std::vector<double> ratio, lambda, spend_scale;
+  for (size_t i = 0; i < problem.size(); ++i) {
+    if (problem.weights[i] > 0.0 && problem.change_rates[i] > 0.0) {
+      ratio.push_back(problem.costs[i] * problem.change_rates[i] /
+                      problem.weights[i]);
+      lambda.push_back(problem.change_rates[i]);
+      spend_scale.push_back(problem.costs[i] * problem.change_rates[i]);
+    }
+  }
+  for (auto kernel : {BreakpointSpendEvaluator::Kernel::kFreshnessG,
+                      BreakpointSpendEvaluator::Kernel::kAgeH}) {
+    double base = 0.0;
+    int base_probes = 0;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      const par::Executor exec(threads);
+      const BreakpointSpendEvaluator eval(kernel, ratio, lambda, spend_scale,
+                                          &exec);
+      int probes = 0;
+      const double estimate =
+          eval.EstimateMultiplier(problem.bandwidth, 0.0, &probes);
+      ASSERT_GT(estimate, 0.0);
+      if (threads == 1) {
+        base = estimate;
+        base_probes = probes;
+      } else {
+        EXPECT_TRUE(SameBits(estimate, base)) << "threads=" << threads;
+        EXPECT_EQ(probes, base_probes) << "threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(SurrogateSearchTest, EveryRatioInOneBin) {
+  // 1000 distinct ratios inside [2, 2.02): one histogram bin, so the
+  // surrogate sees a single lane whose midpoint is off every real ratio.
+  CoreProblem problem;
+  double scale = 0.0;
+  for (size_t k = 0; k < 1000; ++k) {
+    problem.weights.push_back(1.0 / (1.0 + 1e-5 * static_cast<double>(k)));
+    problem.change_rates.push_back(2.0);
+    problem.costs.push_back(1.0);
+    scale += 2.0;
+  }
+  for (double budget_factor : {0.01, 0.3, 2.0}) {
+    problem.bandwidth = budget_factor * scale;
+    ExpectScanMatchesOracle(problem, /*age=*/true, "one bin");
+  }
+}
+
+TEST(SurrogateSearchTest, RatiosSpanningHundredsOfBinades) {
+  // Weights over 2^-300..2^300: 600 octaves of ratio, past the histogram's
+  // 256-octave budget, so the binning coarsens.
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> octave(-300.0, 300.0);
+  CoreProblem problem;
+  for (size_t k = 0; k < 2000; ++k) {
+    problem.weights.push_back(std::exp2(octave(rng)));
+    problem.change_rates.push_back(1.0);
+    problem.costs.push_back(1.0);
+  }
+  for (double budget_factor : {1e-3, 0.3, 5.0}) {
+    problem.bandwidth = budget_factor * 2000.0;
+    ExpectScanMatchesOracle(problem, /*age=*/true, "binades");
+  }
+}
+
+TEST(SurrogateSearchTest, SingleActiveElement) {
+  CoreProblem problem;
+  problem.weights = {0.0, 0.8, 1.0, 0.0, 2.0};
+  problem.change_rates = {3.0, 1.5, 0.0, 0.0, 0.0};
+  problem.costs = {1.0, 2.5, 1.0, 1.0, 1.0};
+  for (double bandwidth : {1e-6, 0.7, 40.0}) {
+    problem.bandwidth = bandwidth;
+    ExpectScanMatchesOracle(problem, /*age=*/true, "single");
+    const Allocation scan =
+        SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 1);
+    EXPECT_NEAR(scan.frequencies[1] * 2.5, bandwidth, 1e-9 * bandwidth);
+  }
+}
+
+TEST(SurrogateSearchTest, BudgetFundsExactlyOneElement) {
+  // Activation thresholds 2^-k: at mu = 1/2 (the second threshold) element
+  // 0 alone would spend c*lambda / g^{-1}(1/2) ~ 0.6 c*lambda, so a budget
+  // of 0.1 c*lambda leaves mu* above every other threshold.
+  CoreProblem problem;
+  for (int k = 0; k < 40; ++k) {
+    problem.weights.push_back(std::exp2(-k));
+    problem.change_rates.push_back(1.0);
+    problem.costs.push_back(1.0);
+  }
+  problem.bandwidth = 0.1;
+  ExpectScanMatchesOracle(problem, /*age=*/false, "one funded");
+  const Allocation scan =
+      SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 4);
+  EXPECT_GT(scan.frequencies[0], 0.0);
+  for (size_t i = 1; i < problem.size(); ++i) {
+    EXPECT_EQ(scan.frequencies[i], 0.0) << i;
+  }
+}
+
+TEST(SurrogateSearchTest, BudgetFundsEveryElement) {
+  // Thresholds within a factor of 8 and a budget 50x sum(c*lambda): mu*
+  // sits far below every threshold.
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> u(1.0, 2.0);
+  CoreProblem problem;
+  double scale = 0.0;
+  for (size_t k = 0; k < 3000; ++k) {
+    problem.weights.push_back(u(rng));
+    problem.change_rates.push_back(u(rng));
+    problem.costs.push_back(u(rng));
+    scale += problem.costs.back() * problem.change_rates.back();
+  }
+  problem.bandwidth = 50.0 * scale;
+  ExpectScanMatchesOracle(problem, /*age=*/true, "all funded");
+  const Allocation scan =
+      SolveFreshness(problem, MultiplierSearch::kScanBreakpoint, 4);
+  for (size_t i = 0; i < problem.size(); ++i) {
+    EXPECT_GT(scan.frequencies[i], 0.0) << i;
   }
 }
 
