@@ -164,7 +164,7 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
       continue;
     }
     if (IsBoolFlag(arg)) {
-      flags[arg] = "1";
+      flags[arg] = std::string("1");
     } else {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "flag %s needs a value\n", arg.c_str());

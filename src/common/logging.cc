@@ -54,12 +54,11 @@ std::string Iso8601Now() {
   std::timespec_get(&ts, TIME_UTC);
   std::tm utc{};
   gmtime_r(&ts.tv_sec, &utc);
-  char buffer[32];
-  const int millis = static_cast<int>(ts.tv_nsec / 1000000);
-  std::snprintf(buffer, sizeof(buffer),
-                "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", utc.tm_year + 1900,
-                utc.tm_mon + 1, utc.tm_mday, utc.tm_hour, utc.tm_min,
-                utc.tm_sec, millis);
+  char buffer[40];
+  const size_t length =
+      std::strftime(buffer, sizeof(buffer), "%Y-%m-%dT%H:%M:%S", &utc);
+  const unsigned millis = static_cast<unsigned>(ts.tv_nsec / 1000000) % 1000;
+  std::snprintf(buffer + length, sizeof(buffer) - length, ".%03uZ", millis);
   return buffer;
 }
 

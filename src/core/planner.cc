@@ -31,12 +31,25 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
         StrFormat("bandwidth must be positive and finite, got %g", bandwidth));
   }
   for (size_t i = 0; i < elements.size(); ++i) {
+    const Element& e = elements[i];
     // An infinite size would turn the feasibility spend into inf * 0 = NaN
     // and silently skip the rescale, breaking the always-feasible promise.
-    if (!(elements[i].size > 0.0) || !std::isfinite(elements[i].size)) {
+    if (!(e.size > 0.0) || !std::isfinite(e.size)) {
       return Status::InvalidArgument(StrFormat(
-          "element %zu has non-positive or non-finite size %g", i,
-          elements[i].size));
+          "element %zu has non-positive or non-finite size %g", i, e.size));
+    }
+    // Both modes reject what the exact solver rejects; the partitioned path
+    // would otherwise average a negative or NaN p or lambda into a
+    // representative and plan from it.
+    if (!(e.access_prob >= 0.0) || !std::isfinite(e.access_prob)) {
+      return Status::InvalidArgument(StrFormat(
+          "element %zu has negative or non-finite access probability %g", i,
+          e.access_prob));
+    }
+    if (!(e.change_rate >= 0.0) || !std::isfinite(e.change_rate)) {
+      return Status::InvalidArgument(StrFormat(
+          "element %zu has negative or non-finite change rate %g", i,
+          e.change_rate));
     }
   }
 
@@ -61,7 +74,8 @@ Result<FreshenPlan> FreshenPlanner::Plan(const ElementSet& elements,
     FRESHEN_ASSIGN_OR_RETURN(
         std::vector<Partition> partitions,
         BuildPartitions(elements, options_.partition_key,
-                        options_.num_partitions));
+                        options_.num_partitions,
+                        options_.kmeans_options.threads));
     plan.timings.partition_seconds = phase_timer.ElapsedSeconds();
 
     // Step 1b: optional k-means cleanup.

@@ -57,7 +57,8 @@ struct PlannerOptions {
   size_t num_partitions = 50;
   /// Partitioned mode: Lloyd iterations refining the partitions (0 = none).
   int kmeans_iterations = 0;
-  /// Options for the k-means refiner.
+  /// Options for the k-means refiner. Its `threads` also runs
+  /// BuildPartitions' key pass.
   KMeansRefiner::Options kmeans_options;
   /// Partitioned mode: intra-partition allocation policy.
   AllocationPolicy allocation_policy = AllocationPolicy::kFixedBandwidth;
@@ -98,7 +99,8 @@ class FreshenPlanner {
 
   /// Plans for the given catalog and per-period bandwidth budget (> 0 and
   /// finite). InvalidArgument for an empty catalog or any element whose
-  /// size is not positive and finite.
+  /// size is not positive and finite, or whose access probability or change
+  /// rate is negative or not finite.
   Result<FreshenPlan> Plan(const ElementSet& elements,
                            double bandwidth) const;
 

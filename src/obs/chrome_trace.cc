@@ -37,13 +37,17 @@ int PhaseRank(EventPhase phase) {
 std::string FormatArgs(const Event& event) {
   std::string out = "{";
   if (event.arg0_name != nullptr) {
-    out += "\"" + JsonEscape(event.arg0_name) + "\":" +
-           StrFormat("%.9g", event.arg0);
+    out += '"';
+    out += JsonEscape(event.arg0_name);
+    out += "\":";
+    out += StrFormat("%.9g", event.arg0);
   }
   if (event.arg1_name != nullptr) {
     if (event.arg0_name != nullptr) out += ",";
-    out += "\"" + JsonEscape(event.arg1_name) + "\":" +
-           StrFormat("%.9g", event.arg1);
+    out += '"';
+    out += JsonEscape(event.arg1_name);
+    out += "\":";
+    out += StrFormat("%.9g", event.arg1);
   }
   out += "}";
   return out;

@@ -49,7 +49,10 @@ class KMeansRefiner {
   /// Runs `iterations` Lloyd steps starting from `partitions` (each element
   /// assigned to its partition; centroids are the representatives'
   /// (p, l̂)). Empty clusters are dropped. Returns the refined partitions
-  /// with recomputed representatives.
+  /// with recomputed representatives. Each assignment step skips the
+  /// centroids that the triangle inequality proves farther than the
+  /// point's own; the outcome is exactly that of scanning every centroid
+  /// (keep the current one on ties, else the lowest strictly nearer index).
   Result<std::vector<Partition>> Refine(const std::vector<Partition>& initial,
                                         int iterations) const;
 

@@ -62,11 +62,16 @@ double PartitionSortKey(PartitionKey key, const Element& element);
 /// Sorts elements by `key` and cuts them into `num_partitions` contiguous
 /// groups of near-equal size ("All elements are sorted. Then N/K successive
 /// elements are assigned to a partition."). num_partitions is clamped to N.
-/// Fails when elements is empty or num_partitions is 0. Representatives are
-/// filled in.
+/// Equal keys keep index order (-0.0 equals +0.0), so the order is exactly a
+/// stable sort's; it is computed by an LSD radix sort on the keys' bits.
+/// Fails when elements is empty, num_partitions is 0, or any element's key
+/// is NaN or infinite. Representatives are filled in. `threads` runs the key
+/// pass (0 = hardware concurrency); the result is byte-identical at every
+/// thread count.
 Result<std::vector<Partition>> BuildPartitions(const ElementSet& elements,
                                                PartitionKey key,
-                                               size_t num_partitions);
+                                               size_t num_partitions,
+                                               size_t threads = 0);
 
 /// Recomputes a partition's representative from its members (used after
 /// k-means moves elements around).

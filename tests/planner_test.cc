@@ -195,6 +195,54 @@ TEST(PlannerTest, RejectsNonFiniteSizes) {
   }
 }
 
+TEST(PlannerTest, BothModesRejectNegativeOrNonFiniteRatesAndProbabilities) {
+  // The partitioned plan used to accept what the exact plan rejects: a
+  // p or lambda of -0.001 came back ok with a plausible PF, and a NaN
+  // reached the partition sort as a key.
+  const ElementSet elements = IdealCatalog(1.0, Alignment::kShuffled);
+  const double bads[] = {-0.001, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()};
+  for (PlanMode mode : {PlanMode::kExact, PlanMode::kPartitioned}) {
+    PlannerOptions options;
+    options.mode = mode;
+    options.num_partitions = 20;
+    options.kmeans_iterations = 2;
+    for (double bad : bads) {
+      for (bool rate : {false, true}) {
+        ElementSet catalog = elements;
+        (rate ? catalog[49].change_rate : catalog[49].access_prob) = bad;
+        const Result<FreshenPlan> plan =
+            FreshenPlanner(options).Plan(catalog, 10.0);
+        ASSERT_FALSE(plan.ok()) << "bad=" << bad << " rate=" << rate;
+        EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(plan.status().message().find("element 49 "),
+                  std::string::npos)
+            << plan.status().ToString();
+      }
+    }
+  }
+}
+
+TEST(PlannerTest, PartitionedAcceptsZeroAndSubnormalRates) {
+  // Valid extremes still plan: lambda = 0 (the P/L guard key) and a
+  // subnormal lambda whose p/lambda overflows (saturated to a finite key).
+  ElementSet elements = IdealCatalog(1.0, Alignment::kShuffled);
+  elements[3].change_rate = 0.0;
+  elements[4].change_rate = std::numeric_limits<double>::denorm_min();
+  for (PartitionKey key :
+       {PartitionKey::kProbOverLambda, PartitionKey::kPerceivedFreshness}) {
+    PlannerOptions options;
+    options.mode = PlanMode::kPartitioned;
+    options.partition_key = key;
+    options.num_partitions = 20;
+    options.kmeans_iterations = 3;
+    const Result<FreshenPlan> plan =
+        FreshenPlanner(options).Plan(elements, 10.0);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NEAR(plan->bandwidth_used, 10.0, 1e-9);
+  }
+}
+
 TEST(PlannerTest, FusedTailMatchesSeparateMetricsBitForBit) {
   // Plan's closing metrics come from one fused pass; they must equal the
   // standalone metric functions on the returned frequencies exactly.
