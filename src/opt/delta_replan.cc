@@ -316,48 +316,44 @@ Result<DeltaReplanner::ReplanResult> DeltaReplanner::Replan(
       spend_scale_[k] = problem_.costs[i] * problem_.change_rates[i];
     }
 
-    // Re-invert the dirty lanes cold at both cached edges (SIMD batches over
-    // a fixed shard plan of the dirty list; per-lane purity makes each value
-    // equal to the same lane of a full capture, whatever the batching or
-    // thread count) and fold them into the edge contribution trees. Only
-    // funded lanes are inverted; an unfunded lane contributes exactly 0.
+    // Re-invert the dirty lanes cold at both cached edges (SIMD batches;
+    // per-lane purity makes each value equal to the same lane of a full
+    // capture, whatever the batch holds) and fold them into the edge
+    // contribution trees. Only funded lanes are inverted; an unfunded lane
+    // contributes exactly 0.
     const size_t d = dirty_lanes.size();
     std::vector<double> new_fill(d, 0.0), new_contrib_hi(d, 0.0),
         new_contrib_lo(d, 0.0);
-    exec_->ForShards(
-        par::ShardPlanFor(d, par::kTranscendentalGrain,
-                          par::kTranscendentalMaxShards),
-        [&](const par::Shard& shard) {
-          double target[kDirtyBatch];
-          double root[kDirtyBatch];
-          size_t slot[kDirtyBatch];
-          for (int edge = 0; edge < 2; ++edge) {
-            const double mu_e = edge == 0 ? mu_ : edge_lo_;
-            for (size_t b = shard.begin; b < shard.end; b += kDirtyBatch) {
-              const size_t m = std::min(kDirtyBatch, shard.end - b);
-              size_t funded = 0;
-              for (size_t j = b; j < b + m; ++j) {
-                const double y = mu_e * ratio_[dirty_lanes[j]];
-                if (y < 1.0) {
-                  slot[funded] = j;
-                  target[funded++] = std::max(y, kMinTarget);
-                }
-              }
-              BatchInverseMarginalGainG(target, /*seeds=*/nullptr, root,
-                                        funded);
-              for (size_t f = 0; f < funded; ++f) {
-                const size_t j = slot[f];
-                const size_t k = dirty_lanes[j];
-                if (edge == 0) {
-                  new_contrib_hi[j] = spend_scale_[k] / root[f];
-                  new_fill[j] = lambda_[k] / root[f];
-                } else {
-                  new_contrib_lo[j] = spend_scale_[k] / root[f];
-                }
-              }
+    {
+      double target[kDirtyBatch];
+      double root[kDirtyBatch];
+      size_t slot[kDirtyBatch];
+      for (int edge = 0; edge < 2; ++edge) {
+        const double mu_e = edge == 0 ? mu_ : edge_lo_;
+        for (size_t b = 0; b < d; b += kDirtyBatch) {
+          const size_t m = std::min(kDirtyBatch, d - b);
+          size_t funded = 0;
+          for (size_t j = b; j < b + m; ++j) {
+            const double y = mu_e * ratio_[dirty_lanes[j]];
+            if (y < 1.0) {
+              slot[funded] = j;
+              target[funded++] = std::max(y, kMinTarget);
             }
           }
-        });
+          BatchInverseMarginalGainG(target, /*seeds=*/nullptr, root, funded);
+          for (size_t f = 0; f < funded; ++f) {
+            const size_t j = slot[f];
+            const size_t k = dirty_lanes[j];
+            if (edge == 0) {
+              new_contrib_hi[j] = spend_scale_[k] / root[f];
+              new_fill[j] = lambda_[k] / root[f];
+            } else {
+              new_contrib_lo[j] = spend_scale_[k] / root[f];
+            }
+          }
+        }
+      }
+    }
     std::vector<size_t> dirty_blocks;
     dirty_blocks.reserve(d);
     for (size_t j = 0; j < d; ++j) {

@@ -56,12 +56,17 @@ double PartitionSortKey(PartitionKey key, const Element& element) {
     case PartitionKey::kPerceivedFreshness:
       return element.access_prob *
              FixedOrderFreshness(kPfKeyFrequency, element.change_rate);
-    case PartitionKey::kPerceivedFreshnessSize:
+    case PartitionKey::kPerceivedFreshnessSize: {
       // One unit of bandwidth buys only 1/s syncs of an object of size s.
       FRESHEN_DCHECK(element.size > 0.0);
+      const double f = kPfKeyFrequency / element.size;
+      // r = lambda / f rounds to 0 for a subnormal size (f = inf) or an
+      // underflowing lambda * s, where (1 - e^-r) / r would be 0/0: take
+      // its r -> 0 limit, freshness 1, so the key stays finite.
+      if (element.change_rate / f == 0.0) return element.access_prob;
       return element.access_prob *
-             FixedOrderFreshness(kPfKeyFrequency / element.size,
-                                 element.change_rate);
+             FixedOrderFreshness(f, element.change_rate);
+    }
     case PartitionKey::kSize:
       return element.size;
   }

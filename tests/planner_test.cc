@@ -224,13 +224,27 @@ TEST(PlannerTest, BothModesRejectNegativeOrNonFiniteRatesAndProbabilities) {
 }
 
 TEST(PlannerTest, PartitionedAcceptsZeroAndSubnormalRates) {
-  // Valid extremes still plan: lambda = 0 (the P/L guard key) and a
-  // subnormal lambda whose p/lambda overflows (saturated to a finite key).
+  // Valid extremes still plan: lambda = 0 (the P/L guard key), a
+  // subnormal lambda whose p/lambda overflows (saturated to a finite key),
+  // and for the PF/S key lambda / (1/s) rounding to 0, both from a
+  // subnormal size (1/s = inf) and from a size below 1 with a subnormal
+  // lambda (freshness taken at its limit 1).
   ElementSet elements = IdealCatalog(1.0, Alignment::kShuffled);
   elements[3].change_rate = 0.0;
   elements[4].change_rate = std::numeric_limits<double>::denorm_min();
+  elements[5].size = std::numeric_limits<double>::denorm_min();
+  elements[6].size = 0.25;
+  elements[6].change_rate = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(PartitionSortKey(PartitionKey::kPerceivedFreshnessSize,
+                             elements[5]),
+            elements[5].access_prob);
+  EXPECT_EQ(PartitionSortKey(PartitionKey::kPerceivedFreshnessSize,
+                             elements[6]),
+            elements[6].access_prob);
+  ASSERT_TRUE(FreshenPlanner(PlannerOptions()).Plan(elements, 10.0).ok());
   for (PartitionKey key :
-       {PartitionKey::kProbOverLambda, PartitionKey::kPerceivedFreshness}) {
+       {PartitionKey::kProbOverLambda, PartitionKey::kPerceivedFreshness,
+        PartitionKey::kPerceivedFreshnessSize}) {
     PlannerOptions options;
     options.mode = PlanMode::kPartitioned;
     options.partition_key = key;
